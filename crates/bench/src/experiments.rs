@@ -1604,7 +1604,7 @@ pub fn serve(cfg: &ExperimentConfig) -> String {
          speedup is batched aggregate throughput over the per-plane sequential schedule; \
          ΔPSNR is the worst session's occupancy-weighted drift from its single-session \
          baseline; QoS counts focus-guided single-victim step-downs \
-         (export the sweep with --serve-json BENCH_serve.json)\n",
+         (export the sweep with --json BENCH_serve.json)\n",
         cfg.seed,
         cfg.frames,
         t.render(),
@@ -1675,7 +1675,7 @@ pub fn slo_measurements(cfg: &ExperimentConfig) -> (u32, holoar_serve::ServeRepo
 /// Observability study: the SLO dashboard for one serving fleet —
 /// per-session sketch quantiles, error budgets, burn-rate alerts,
 /// signal-annotated step-downs, and critical-path stage attribution
-/// (`repro slo`, exported with `--slo-json BENCH_slo.json`).
+/// (`repro slo`, exported with `--json BENCH_slo.json`).
 pub fn slo(cfg: &ExperimentConfig) -> String {
     let (sessions, report) = slo_measurements(cfg);
     let fleet = &report.slo;

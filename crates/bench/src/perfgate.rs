@@ -1,9 +1,9 @@
 //! CI perf-smoke gate over the `BENCH_*.json` artifacts (parallel, serve,
 //! pipeline, fleet).
 //!
-//! `repro parallel --bench-json` records one timing cell per (workload,
+//! `repro parallel --json` records one timing cell per (workload,
 //! worker count, precision) triple plus the f32 quality gate; `repro serve
-//! --serve-json` records the serving sweep. This module re-reads those
+//! --json` records the serving sweep. This module re-reads those
 //! artifacts and enforces the floors, so CI fails when a change regresses
 //! the fast path (or the serving acceptance row) rather than when someone
 //! happens to eyeball the numbers:
@@ -943,7 +943,7 @@ mod tests {
     #[test]
     fn checked_in_pipeline_artifact_clears_the_gate() {
         // `BENCH_pipeline.json` at the repo root is regenerated by `repro
-        // pipeline --bench-json BENCH_pipeline.json`; stale or hand-edited
+        // pipeline --json BENCH_pipeline.json`; stale or hand-edited
         // copies must not sneak past the floors.
         let json = include_str!("../../../BENCH_pipeline.json");
         let outcome = evaluate_pipeline(json, &PipelineGateConfig::default()).unwrap();
@@ -955,7 +955,7 @@ mod tests {
             json,
             crate::experiments::pipeline_bench_json(&cfg),
             "BENCH_pipeline.json is stale; regenerate with \
-             `repro pipeline --bench-json BENCH_pipeline.json`"
+             `repro pipeline --json BENCH_pipeline.json`"
         );
     }
 
@@ -1063,7 +1063,7 @@ mod tests {
     #[test]
     fn checked_in_serve_artifact_clears_the_gate() {
         // `BENCH_serve.json` at the repo root is regenerated by `repro
-        // serve --frames 120 --serve-json BENCH_serve.json`; stale or
+        // serve --frames 120 --json BENCH_serve.json`; stale or
         // hand-edited copies must not sneak past the floors.
         let json = include_str!("../../../BENCH_serve.json");
         let outcome = evaluate_serve(json, &ServeGateConfig::default()).unwrap();

@@ -15,10 +15,11 @@
 
 use crate::config::HoloArConfig;
 use crate::planner::Planner;
-use holoar_fft::ExecutionContext;
+use holoar_fft::{lock_unpoisoned, ExecutionContext};
 use holoar_metrics::{psnr, Image};
 use holoar_optics::{reconstruct, OpticalConfig, Propagator, VirtualObject};
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use holoar_sensors::angles::AngularPoint;
 use holoar_sensors::eyetrack::EyeTracker;
 use holoar_sensors::objectron::{FrameGenerator, ObjectAnnotation, VideoCategory};
@@ -117,28 +118,74 @@ pub fn object_psnr(
     // composites built from incoherent focal stacks (see
     // `holoar_optics::reconstruct::incoherent_focal_stack`), where each
     // pixel is read from the reconstruction focused at its true depth.
-    let base_stack = depthmap.slice(config.full_planes as usize, optics);
-    let approx_stack = depthmap.slice(planes as usize, optics);
+    // The full-budget reference does not depend on `planes`, so every
+    // budget scored for the same object on this context reuses one.
     let mut prop = Propagator::with_context(ctx);
-    let img_base = all_in_focus(&base_stack, &depthmap, z_center, &mut prop);
+    let references = ctx.shared("core.quality.reference", ReferenceCache::default);
+    let key = (obj.track_id % 6, config.full_planes, z_center.to_bits(), depth_extent.to_bits());
+    let reference = match references.get(&key) {
+        Some(hit) => hit,
+        None => {
+            let base_stack = depthmap.slice(config.full_planes as usize, optics);
+            let img_base = all_in_focus(&base_stack, &depthmap, z_center, &mut prop);
+            references.insert(key, speckle_averaged(&img_base, n))
+        }
+    };
+    let approx_stack = depthmap.slice(planes as usize, optics);
     let img_approx = all_in_focus(&approx_stack, &depthmap, z_center, &mut prop);
 
-    // Coherent reconstructions carry speckle; displays and the eye integrate
-    // over it, so both images are speckle-averaged with a small box filter
-    // before comparison (as PSNR-on-reconstruction pipelines conventionally
-    // do).
-    // Both buffers are n*n by construction, so the only way a build can
-    // fail is a reconstruction that produced non-finite luminance. That
-    // carries no usable quality signal: report 0 dB (worst) instead of
-    // aborting — this runs on the serving path, which must not panic.
-    let reference = Image::new(n, n, box_blur(&img_base, n, n, 1));
-    let test = Image::new(n, n, box_blur(&img_approx, n, n, 1));
-    match (reference, test) {
-        (Ok(reference), Ok(test)) => {
-            psnr(&reference.normalized(), &test.normalized()).unwrap_or(0.0)
-        }
+    // A reference or test image that failed to build came from a
+    // reconstruction with non-finite luminance. That carries no usable
+    // quality signal: report 0 dB (worst) instead of aborting — this runs
+    // on the serving path, which must not panic.
+    match (reference.as_ref(), speckle_averaged(&img_approx, n)) {
+        (Some(reference), Some(test)) => psnr(reference, &test).unwrap_or(0.0),
         _ => 0.0,
     }
+}
+
+/// Key of a cached full-budget reference: the virtual object
+/// (`track_id % 6`), `full_planes`, and the bit patterns of the quantized
+/// `z_center` and `depth_extent` — everything the reference depends on
+/// that varies within one context (resolution and optics are constants,
+/// and a context's precision is fixed when it is built).
+type ReferenceKey = (u64, u32, u64, u64);
+
+/// The [`ExecutionContext`] shared slot (`"core.quality.reference"`) holding
+/// [`object_psnr`]'s full-budget references, speckle-averaged and
+/// normalized (`None` for a composite that failed to build). Like the
+/// optics transfer cache it has no eviction: it is bounded by the number of
+/// distinct keys.
+#[derive(Debug, Default)]
+struct ReferenceCache(Mutex<HashMap<ReferenceKey, Arc<Option<Image>>>>);
+
+impl ReferenceCache {
+    /// The cached reference for `key`, if any. The map lock is released
+    /// before returning, so a miss never propagates under it.
+    fn get(&self, key: &ReferenceKey) -> Option<Arc<Option<Image>>> {
+        let hit = lock_unpoisoned(&self.0).get(key).cloned();
+        match hit {
+            Some(_) => holoar_telemetry::counter_add("core.quality.reference_cache.hit", 1),
+            None => holoar_telemetry::counter_add("core.quality.reference_cache.miss", 1),
+        }
+        hit
+    }
+
+    /// Caches `reference` under `key` (keeping the first entry if another
+    /// caller raced this one) and returns the cached value.
+    fn insert(&self, key: ReferenceKey, reference: Option<Image>) -> Arc<Option<Image>> {
+        Arc::clone(lock_unpoisoned(&self.0).entry(key).or_insert_with(|| Arc::new(reference)))
+    }
+}
+
+/// Speckle-averages a raw `n × n` intensity image and normalizes it to
+/// peak 1; `None` when the image holds non-finite luminance.
+///
+/// Coherent reconstructions carry speckle; displays and the eye integrate
+/// over it, so images are speckle-averaged with a small box filter before
+/// comparison (as PSNR-on-reconstruction pipelines conventionally do).
+fn speckle_averaged(img: &[f64], n: usize) -> Option<Image> {
+    Image::new(n, n, box_blur(img, n, n, 1)).ok().map(|image| image.normalized())
 }
 
 /// Mean squared error (on peak-normalized, speckle-averaged all-in-focus
@@ -672,6 +719,51 @@ mod tests {
             object_psnr_gsw(&o, 8, &cfg, &par_ctx).to_bits(),
             object_psnr_gsw(&o, 8, &cfg, &ctx()).to_bits()
         );
+    }
+
+    #[test]
+    fn reference_cache_is_invisible_in_the_bits() {
+        use holoar_fft::Precision;
+        let cfg = HoloArConfig::default();
+        let objects = [obj(3, 0.6, 0.25), obj(7, 1.1, 0.3)];
+        for precision in [Precision::F64, Precision::F32] {
+            let mut per_workers: Vec<Vec<u64>> = Vec::new();
+            for workers in [1usize, 2, 7] {
+                let make = || {
+                    ExecutionContext::builder().workers(workers).precision(precision).build()
+                };
+                let shared = make();
+                let mut bits = Vec::new();
+                for o in &objects {
+                    // The first budget builds the reference (cold), the
+                    // second reuses it (warm); a fresh context is cold again.
+                    for planes in [8u32, 2] {
+                        let first = object_psnr(o, planes, &cfg, &shared);
+                        let warm = object_psnr(o, planes, &cfg, &shared);
+                        let fresh = object_psnr(o, planes, &cfg, &make());
+                        assert!(first.is_finite(), "{precision:?} workers {workers}");
+                        assert_eq!(first.to_bits(), warm.to_bits(), "{precision:?} {workers}");
+                        assert_eq!(first.to_bits(), fresh.to_bits(), "{precision:?} {workers}");
+                        bits.push(first.to_bits());
+                    }
+                }
+                per_workers.push(bits);
+            }
+            assert!(per_workers.windows(2).all(|w| w[0] == w[1]), "{precision:?}");
+        }
+    }
+
+    #[test]
+    fn full_plane_budgets_keep_separate_references() {
+        let o = obj(3, 0.6, 0.25);
+        let sixteen = HoloArConfig::default();
+        let twelve = HoloArConfig { full_planes: 12, ..sixteen };
+        let shared = ctx();
+        let a = object_psnr(&o, 4, &sixteen, &shared);
+        let b = object_psnr(&o, 4, &twelve, &shared);
+        assert_eq!(a.to_bits(), object_psnr(&o, 4, &sixteen, &ctx()).to_bits());
+        assert_eq!(b.to_bits(), object_psnr(&o, 4, &twelve, &ctx()).to_bits());
+        assert_ne!(a.to_bits(), b.to_bits(), "a 12-plane reference must not reuse the 16");
     }
 
     #[test]

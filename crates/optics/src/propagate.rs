@@ -20,11 +20,19 @@
 //! batch APIs ([`Propagator::propagate_batch`] /
 //! [`Propagator::propagate_planes`]); the batch results are bit-identical
 //! to the equivalent serial loop for every worker count.
+//!
+//! Propagation runs in two steps: the source field's forward spectrum, then
+//! per plane a multiply by that plane's transfer function and an inverse
+//! FFT. A batch of planes from one source ([`Propagator::propagate_batch`],
+//! and [`Propagator::propagate`] as a batch of one) transforms its source
+//! exactly once and finishes every plane from that shared spectrum.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use holoar_fft::{Complex32, Complex64, ExecutionContext, Fft2d, Parallelism, Precision};
+use holoar_fft::{
+    Complex, Complex32, Complex64, ExecutionContext, Fft2d, Parallelism, Precision, Real,
+};
 
 use crate::field::{Field, OpticalConfig};
 
@@ -38,6 +46,14 @@ type FftMap<T> = Arc<Mutex<HashMap<(usize, usize), Fft2d<T>>>>;
 /// Shared transfer-function map at one complex width.
 type TransferMap<C> = Arc<Mutex<HashMap<TransferKey, Arc<Vec<C>>>>>;
 
+/// One plane's shared transfer function at precision `T`.
+type Transfer<T> = Arc<Vec<Complex<T>>>;
+
+/// One plane of [`Propagator::propagate_planes`]: its source field, plus the
+/// serial FFT and transfer function that propagate it (`None` for the
+/// zero-distance identity).
+type PlaneJob<'a, T> = (&'a Field, Option<(Fft2d<T>, Transfer<T>)>);
+
 /// The [`ExecutionContext`] shared slot a context-built propagator pulls its
 /// caches from: every propagator constructed from the same context (or a
 /// clone of it) shares one FFT-plan map and one transfer-function map (per
@@ -50,14 +66,54 @@ struct PropagatorCaches {
     transfer32: TransferMap<Complex32>,
 }
 
-/// A plane's prepared propagation inputs: the zero-distance identity, or a
-/// serial FFT twin plus the shared transfer function at the propagator's
-/// precision.
-#[derive(Debug)]
-enum PreparedPlane {
-    Identity,
-    Wide(Fft2d, Arc<Vec<Complex64>>),
-    Narrow(Fft2d<f32>, Arc<Vec<Complex32>>),
+/// One hot-loop precision's view of a propagator's caches. Implemented for
+/// `f64` (the bit-identity reference) and `f32`; each entry point picks the
+/// implementation from [`Propagator::precision`] once, so the propagation
+/// steps below it are written once for both widths.
+trait Lane: Real {
+    /// The cached (or newly planned) FFT for a shape at this precision.
+    fn lane_fft(prop: &Propagator, rows: usize, cols: usize) -> Fft2d<Self>;
+
+    /// The cached (or newly built) transfer function at this precision.
+    fn lane_transfer(
+        prop: &Propagator,
+        rows: usize,
+        cols: usize,
+        cfg: OpticalConfig,
+        z: f64,
+    ) -> Transfer<Self>;
+}
+
+impl Lane for f64 {
+    fn lane_fft(prop: &Propagator, rows: usize, cols: usize) -> Fft2d {
+        cached_fft(&prop.ffts, rows, cols, &prop.par)
+    }
+
+    fn lane_transfer(
+        prop: &Propagator,
+        rows: usize,
+        cols: usize,
+        cfg: OpticalConfig,
+        z: f64,
+    ) -> Arc<Vec<Complex64>> {
+        prop.transfer_for(rows, cols, cfg, z)
+    }
+}
+
+impl Lane for f32 {
+    fn lane_fft(prop: &Propagator, rows: usize, cols: usize) -> Fft2d<f32> {
+        cached_fft(&prop.ffts32, rows, cols, &prop.par)
+    }
+
+    fn lane_transfer(
+        prop: &Propagator,
+        rows: usize,
+        cols: usize,
+        cfg: OpticalConfig,
+        z: f64,
+    ) -> Arc<Vec<Complex32>> {
+        prop.transfer32_for(rows, cols, cfg, z)
+    }
 }
 
 /// Angular-spectrum propagator with cached plans and transfer functions.
@@ -156,50 +212,26 @@ impl Propagator {
     ///
     /// Panics if `z` is not finite.
     pub fn propagate(&mut self, field: &Field, z: f64) -> Field {
-        assert!(z.is_finite(), "propagation distance must be finite");
-        if z == 0.0 {
-            return field.clone();
-        }
         let _span = holoar_telemetry::span_cat("optics.propagate", "optics");
-        match self.precision {
-            Precision::F64 => {
-                let fft = self.fft_for(field.rows(), field.cols());
-                let h = self.transfer_for(field.rows(), field.cols(), field.config(), z);
-                apply_transfer(field, &fft, &h)
-            }
-            Precision::F32 => {
-                let fft = self.fft32_for(field.rows(), field.cols());
-                let h = self.transfer32_for(field.rows(), field.cols(), field.config(), z);
-                apply_transfer32(field, &fft, &h)
-            }
-        }
+        // A batch of one: one distance in, exactly one plane out.
+        self.one_source(field, &[z]).pop().unwrap_or_else(|| field.clone())
     }
 
     /// Propagates one field to many distances concurrently, returning the
     /// results in `zs` order.
     ///
-    /// Every output is bit-identical to the corresponding serial
-    /// [`Propagator::propagate`] call: transfer functions are built (and
-    /// cached) in `zs` order up front, and each plane then runs the exact
-    /// serial propagation code on its own worker.
+    /// The source is transformed once (zero times when every distance is
+    /// zero); each plane then multiplies the shared spectrum by its own
+    /// transfer function and inverts it on its own worker. Every output is
+    /// bit-identical to the corresponding serial [`Propagator::propagate`]
+    /// call, and transfer functions are built (and cached) in `zs` order.
     ///
     /// # Panics
     ///
     /// Panics if any distance is not finite.
     pub fn propagate_batch(&mut self, field: &Field, zs: &[f64]) -> Vec<Field> {
         let _span = holoar_telemetry::span_cat("optics.propagate_batch", "optics");
-        let (rows, cols) = (field.rows(), field.cols());
-        // Warm both caches serially so insertion order (and therefore
-        // `cached_transfer_count`) matches the serial loop exactly.
-        let jobs: Vec<PreparedPlane> = zs
-            .iter()
-            .map(|&z| self.prepare(rows, cols, field.config(), z))
-            .collect();
-        self.par.map(&jobs, |prepared| match prepared {
-            PreparedPlane::Identity => field.clone(),
-            PreparedPlane::Wide(fft, h) => apply_transfer(field, fft, h),
-            PreparedPlane::Narrow(fft, h) => apply_transfer32(field, fft, h),
-        })
+        self.one_source(field, zs)
     }
 
     /// Propagates independent `(field, z)` pairs concurrently, returning
@@ -215,43 +247,73 @@ impl Propagator {
     pub fn propagate_planes(&mut self, fields: &[Field], zs: &[f64]) -> Vec<Field> {
         assert_eq!(fields.len(), zs.len(), "one distance per field");
         let _span = holoar_telemetry::span_cat("optics.propagate_planes", "optics");
-        let jobs: Vec<(&Field, PreparedPlane)> = fields
-            .iter()
-            .zip(zs)
-            .map(|(field, &z)| {
-                (field, self.prepare(field.rows(), field.cols(), field.config(), z))
-            })
-            .collect();
-        self.par.map(&jobs, |(field, prepared)| match prepared {
-            PreparedPlane::Identity => (*field).clone(),
-            PreparedPlane::Wide(fft, h) => apply_transfer(field, fft, h),
-            PreparedPlane::Narrow(fft, h) => apply_transfer32(field, fft, h),
+        match self.precision {
+            Precision::F64 => self.own_sources::<f64>(fields, zs),
+            Precision::F32 => self.own_sources::<f32>(fields, zs),
+        }
+    }
+
+    /// Propagates one source to every distance in `zs` at this propagator's
+    /// precision.
+    fn one_source(&self, field: &Field, zs: &[f64]) -> Vec<Field> {
+        match self.precision {
+            Precision::F64 => self.shared_spectrum::<f64>(field, zs),
+            Precision::F32 => self.shared_spectrum::<f32>(field, zs),
+        }
+    }
+
+    /// [`Propagator::one_source`] at precision `T`: one forward FFT of the
+    /// source (on the pool), then every plane is finished from that shared
+    /// spectrum on its own worker.
+    fn shared_spectrum<T: Lane>(&self, field: &Field, zs: &[f64]) -> Vec<Field> {
+        // Warm the transfer cache serially in `zs` order, so insertion order
+        // (and therefore `cached_transfer_count`) matches the serial loop.
+        let transfers: Vec<Option<Transfer<T>>> =
+            zs.iter().map(|&z| self.transfer_or_identity::<T>(field, z)).collect();
+        if transfers.iter().all(Option::is_none) {
+            return vec![field.clone(); zs.len()];
+        }
+        let fft = T::lane_fft(self, field.rows(), field.cols());
+        let spectrum = forward_spectrum(field, &fft);
+        // `par.map` runs a one-plane batch inline, so that plane keeps the
+        // pool's intra-FFT fan-out; larger batches fan out across planes,
+        // each with a serial transform.
+        let finish = if zs.len() == 1 { fft } else { fft.serial_equivalent() };
+        self.par.map(&transfers, |h| match h {
+            Some(h) => finish_plane(field, spectrum.clone(), &finish, h),
+            None => field.clone(),
         })
     }
 
-    /// Resolves one plane's propagation inputs at this propagator's
-    /// precision, warming the plan and transfer caches serially (so cache
-    /// insertion order matches the serial loop exactly). The returned FFT
-    /// twin is serial: batch entry points parallelize *across* planes.
+    /// [`Propagator::propagate_planes`] at precision `T`: every plane has
+    /// its own source, so each runs both steps on its own worker with a
+    /// serial transform.
+    fn own_sources<T: Lane>(&self, fields: &[Field], zs: &[f64]) -> Vec<Field> {
+        // Caches are warmed serially in input order, as in `shared_spectrum`.
+        let jobs: Vec<PlaneJob<'_, T>> = fields
+            .iter()
+            .zip(zs)
+            .map(|(field, &z)| {
+                let (rows, cols) = (field.rows(), field.cols());
+                let serial_fft = || T::lane_fft(self, rows, cols).serial_equivalent();
+                (field, self.transfer_or_identity::<T>(field, z).map(|h| (serial_fft(), h)))
+            })
+            .collect();
+        self.par.map(&jobs, |(field, prepared)| match prepared {
+            Some((fft, h)) => finish_plane(field, forward_spectrum(field, fft), fft, h),
+            None => (*field).clone(),
+        })
+    }
+
+    /// The transfer function that propagates `field` by `z` at precision
+    /// `T`, or `None` for the zero-distance identity.
     ///
     /// # Panics
     ///
     /// Panics if `z` is not finite.
-    fn prepare(&self, rows: usize, cols: usize, cfg: OpticalConfig, z: f64) -> PreparedPlane {
+    fn transfer_or_identity<T: Lane>(&self, field: &Field, z: f64) -> Option<Transfer<T>> {
         assert!(z.is_finite(), "propagation distance must be finite");
-        if z == 0.0 {
-            return PreparedPlane::Identity;
-        }
-        match self.precision {
-            Precision::F64 => PreparedPlane::Wide(
-                self.fft_for(rows, cols).serial_equivalent(),
-                self.transfer_for(rows, cols, cfg, z),
-            ),
-            Precision::F32 => PreparedPlane::Narrow(
-                self.fft32_for(rows, cols).serial_equivalent(),
-                self.transfer32_for(rows, cols, cfg, z),
-            ),
-        }
+        (z != 0.0).then(|| T::lane_transfer(self, field.rows(), field.cols(), field.config(), z))
     }
 
     /// `HP2DP` from Algorithm 1: hologram plane → the depth plane at distance
@@ -278,34 +340,6 @@ impl Propagator {
     /// tests and capacity planning). Shared across clones.
     pub fn cached_transfer_count(&self) -> usize {
         holoar_fft::lock_unpoisoned(&self.transfer).len()
-    }
-
-    /// The cached (or newly planned) FFT for a shape.
-    fn fft_for(&self, rows: usize, cols: usize) -> Fft2d {
-        match holoar_fft::lock_unpoisoned(&self.ffts).entry((rows, cols)) {
-            std::collections::hash_map::Entry::Occupied(hit) => {
-                holoar_telemetry::counter_add("optics.fft_cache.hit", 1);
-                hit.get().clone()
-            }
-            std::collections::hash_map::Entry::Vacant(miss) => {
-                holoar_telemetry::counter_add("optics.fft_cache.miss", 1);
-                miss.insert(Fft2d::with_parallelism(rows, cols, self.par.clone())).clone()
-            }
-        }
-    }
-
-    /// The cached (or newly planned) f32 FFT for a shape.
-    fn fft32_for(&self, rows: usize, cols: usize) -> Fft2d<f32> {
-        match holoar_fft::lock_unpoisoned(&self.ffts32).entry((rows, cols)) {
-            std::collections::hash_map::Entry::Occupied(hit) => {
-                holoar_telemetry::counter_add("optics.fft_cache.hit", 1);
-                hit.get().clone()
-            }
-            std::collections::hash_map::Entry::Vacant(miss) => {
-                holoar_telemetry::counter_add("optics.fft_cache.miss", 1);
-                miss.insert(Fft2d::with_parallelism(rows, cols, self.par.clone())).clone()
-            }
-        }
     }
 
     /// The cached (or newly built) transfer function for a shape/distance.
@@ -364,30 +398,48 @@ impl Propagator {
     }
 }
 
-/// The core propagation step: FFT → multiply by `H` → inverse FFT.
-fn apply_transfer(field: &Field, fft: &Fft2d, h: &[Complex64]) -> Field {
-    let mut spectrum = field.samples().to_vec();
-    fft.forward(&mut spectrum);
-    for (s, t) in spectrum.iter_mut().zip(h) {
-        *s *= *t;
+/// The cached (or newly planned) FFT for a shape in one precision's plan map.
+fn cached_fft<T: Real>(map: &FftMap<T>, rows: usize, cols: usize, par: &Parallelism) -> Fft2d<T> {
+    match holoar_fft::lock_unpoisoned(map).entry((rows, cols)) {
+        std::collections::hash_map::Entry::Occupied(hit) => {
+            holoar_telemetry::counter_add("optics.fft_cache.hit", 1);
+            hit.get().clone()
+        }
+        std::collections::hash_map::Entry::Vacant(miss) => {
+            holoar_telemetry::counter_add("optics.fft_cache.miss", 1);
+            miss.insert(Fft2d::with_parallelism(rows, cols, par.clone())).clone()
+        }
     }
-    fft.inverse(&mut spectrum);
-    Field::from_data(field.rows(), field.cols(), field.config(), spectrum)
 }
 
-/// [`apply_transfer`] with the transform and multiply in f32: samples narrow
-/// on the way in and widen on the way out, so the [`Field`] boundary stays
-/// `f64`. Purely real inputs keep exact zero imaginary parts under
-/// narrowing, so the real-input FFT fast path still fires.
-fn apply_transfer32(field: &Field, fft: &Fft2d<f32>, h: &[Complex32]) -> Field {
-    let mut spectrum: Vec<Complex32> =
-        field.samples().iter().map(|s| s.to_c32()).collect();
+/// Propagation step one, once per source: the field's forward spectrum at
+/// precision `T`. Samples narrow on the way in (the identity at `f64`);
+/// purely real inputs keep exact zero imaginary parts under narrowing, so
+/// the real-input FFT fast path still fires.
+fn forward_spectrum<T: Real>(field: &Field, fft: &Fft2d<T>) -> Vec<Complex<T>> {
+    let mut spectrum: Vec<Complex<T>> = field
+        .samples()
+        .iter()
+        .map(|s| Complex::new(T::from_f64(s.re), T::from_f64(s.im)))
+        .collect();
     fft.forward(&mut spectrum);
-    for (s, t) in spectrum.iter_mut().zip(h) {
+    spectrum
+}
+
+/// Propagation step two, once per plane: the plane's own copy of the
+/// source spectrum times its transfer function `h`, inverse FFT, and widen
+/// back to an `f64` [`Field`] shaped like the source.
+fn finish_plane<T: Real>(
+    field: &Field,
+    mut plane: Vec<Complex<T>>,
+    fft: &Fft2d<T>,
+    h: &[Complex<T>],
+) -> Field {
+    for (s, t) in plane.iter_mut().zip(h) {
         *s *= *t;
     }
-    fft.inverse(&mut spectrum);
-    let wide: Vec<Complex64> = spectrum.iter().map(|s| s.to_c64()).collect();
+    fft.inverse(&mut plane);
+    let wide = plane.into_iter().map(|s| Complex64::new(s.re.to_f64(), s.im.to_f64())).collect();
     Field::from_data(field.rows(), field.cols(), field.config(), wide)
 }
 

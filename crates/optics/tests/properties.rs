@@ -1,10 +1,10 @@
 //! Property tests for the wave-optics engine: physical invariants that must
 //! hold for arbitrary fields, depthmaps and distances.
 
-use holoar_fft::{Complex64, ExecutionContext, Parallelism};
+use holoar_fft::{Complex64, ExecutionContext, Parallelism, Precision};
 use holoar_optics::{
-    algorithm1, phase, subhologram, DepthMap, Field, FresnelPropagator, OpticalConfig,
-    PhaseEncoding, Propagator, Region,
+    algorithm1, phase, reconstruct, subhologram, DepthMap, Field, FresnelPropagator,
+    OpticalConfig, PhaseEncoding, Propagator, Region,
 };
 use proptest::prelude::*;
 
@@ -181,23 +181,58 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `propagate_batch` matches the serial `propagate` loop bit-for-bit.
+    /// `propagate_batch` matches the serial `propagate` loop bit-for-bit at
+    /// both precisions, including batches that repeat a distance or mix in
+    /// zero distances (every plane is finished from one shared spectrum).
     #[test]
     fn propagate_batch_is_bit_identical(
         field in arb_smooth_field(),
-        zs_um in prop::collection::vec(-4000.0f64..4000.0, 1..=6),
+        pool_um in prop::collection::vec(-4000.0f64..4000.0, 3),
+        picks in prop::collection::vec(0usize..4, 1..=8),
         workers in prop::sample::select(vec![1usize, 2, 7]),
+        precision in prop::sample::select(vec![Precision::F64, Precision::F32]),
     ) {
-        let zs: Vec<f64> = zs_um.iter().map(|&um| um * 1e-6).collect();
+        // Pick index 3 is the zero distance; the others draw (with
+        // repetition) from a three-distance pool.
+        let zs: Vec<f64> =
+            picks.iter().map(|&i| pool_um.get(i).map_or(0.0, |um| um * 1e-6)).collect();
         let serial: Vec<Field> = {
-            let mut p = Propagator::new();
+            let mut p = Propagator::new().with_precision(precision);
             zs.iter().map(|&z| p.propagate(&field, z)).collect()
         };
-        let mut p = Propagator::with_parallelism(Parallelism::new(workers));
+        let mut p =
+            Propagator::with_parallelism(Parallelism::new(workers)).with_precision(precision);
         let batch = p.propagate_batch(&field, &zs);
         prop_assert_eq!(batch.len(), serial.len());
         for (a, b) in batch.iter().zip(&serial) {
             prop_assert_eq!(a.samples(), b.samples());
+        }
+    }
+
+    /// The incoherent focal stack (one shared-spectrum batch per lit plane,
+    /// accumulated serially) is bit-identical for every worker count at
+    /// both precisions.
+    #[test]
+    fn incoherent_focal_stack_is_bit_identical(
+        dm in arb_depthmap(),
+        planes in 1usize..6,
+        zs_um in prop::collection::vec(2000.0f64..12000.0, 1..=8),
+        precision in prop::sample::select(vec![Precision::F64, Precision::F32]),
+    ) {
+        let stack = dm.slice(planes, OpticalConfig::default());
+        let zs: Vec<f64> = zs_um.iter().map(|&um| um * 1e-6).collect();
+        let stack_at = |workers: usize| {
+            let mut p =
+                Propagator::with_parallelism(Parallelism::new(workers)).with_precision(precision);
+            reconstruct::incoherent_focal_stack(&stack, &zs, &mut p)
+        };
+        let bits = |images: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            images.iter().map(|img| img.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        let serial = bits(stack_at(1));
+        prop_assert_eq!(serial.len(), zs.len());
+        for workers in [2usize, 7] {
+            prop_assert_eq!(bits(stack_at(workers)), serial.clone());
         }
     }
 

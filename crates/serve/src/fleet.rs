@@ -31,9 +31,7 @@
 
 use std::collections::BTreeMap;
 
-use holoar_core::degrade::{
-    DegradationController, DegradationLadder, DegradationLevel, TransitionReason,
-};
+use holoar_core::degrade::{DegradationController, DegradationLadder, DegradationLevel};
 use holoar_core::{HoloArConfig, Planner, Scheme};
 use holoar_faults::{scenario, FaultInjector};
 use holoar_gpusim::hologram_kernels::run_job;
@@ -463,9 +461,9 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
                             holoar_telemetry::counter_add("fleet.migrations", 1);
                         }
                         None => {
-                            if let Some(s) = sessions.remove(&id) {
-                                migration_transitions +=
-                                    count_migration_transitions(&s.ctl);
+                            // An orphan's earlier migrations were counted
+                            // in `migration_transitions` as they happened.
+                            if sessions.remove(&id).is_some() {
                                 orphaned += 1;
                                 holoar_telemetry::counter_add("fleet.sessions.orphaned", 1);
                             }
@@ -801,14 +799,6 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
         per_device,
         migration_events,
     })
-}
-
-/// Migration-reason transitions recorded on one controller.
-fn count_migration_transitions(ctl: &DegradationController) -> u64 {
-    ctl.transitions()
-        .iter()
-        .filter(|t| t.reason == TransitionReason::Migration)
-        .count() as u64
 }
 
 #[cfg(test)]

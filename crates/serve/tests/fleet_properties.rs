@@ -121,3 +121,28 @@ fn injector_driven_kills_latch_and_force_evacuation() {
     assert!(report.kill_migrations >= 1, "latched kills must evacuate sessions");
     assert!(report.presented > 0 && report.hit_rate > 0.0);
 }
+
+#[test]
+fn orphaned_sessions_never_double_count_migrations() {
+    // Adversarial sweep: on a 2-device fleet the injector kills devices
+    // often enough that every device can die, orphaning sessions that had
+    // already migrated. Their migrations were charged when they happened,
+    // so the books must balance in every run, orphans or not.
+    let mut orphans_after_migration = 0;
+    for kill_probability in [0.1, 0.5] {
+        for seed in 0..200u64 {
+            let mut cfg = FleetConfig::sweep(2, 12, 96, seed);
+            cfg.kill_probability = kill_probability;
+            let r = run(&cfg);
+            assert_eq!(
+                r.migrations, r.migration_transitions,
+                "p={kill_probability} seed {seed}: orphaned={} migrations={} transitions={}",
+                r.orphaned, r.migrations, r.migration_transitions
+            );
+            if r.orphaned > 0 && r.migrations > 0 {
+                orphans_after_migration += 1;
+            }
+        }
+    }
+    assert!(orphans_after_migration > 0, "sweep never orphaned a migrated session");
+}
