@@ -1,9 +1,12 @@
 //! Bluestein's chirp-z algorithm: FFT of arbitrary length via a
-//! power-of-two convolution.
+//! 2·3·5-smooth convolution.
 //!
-//! The depthmap resolutions in the AR datasets are not always powers of two
-//! (Objectron frames are 480×640, 1440×1920, …), so the planner falls back to
-//! this path whenever [`crate::radix2`] does not apply.
+//! The depthmap resolutions in the AR datasets (Objectron frames are
+//! 480×640, 1440×1920, …) and the optics grids (40×40 focal stacks, 48×48
+//! GSW planes) are all 2·3·5-smooth and run through [`crate::stockham`]
+//! directly. The planner falls back to this path only for lengths with a
+//! prime factor larger than 5; the convolution itself is padded to the
+//! smallest smooth length `≥ 2n − 1` and runs on the Stockham engine.
 //!
 //! The identity used: `nk = (n² + k² − (k−n)²) / 2`, which rewrites the DFT as
 //! a convolution of the chirp-premultiplied input with the conjugate chirp.
@@ -13,8 +16,8 @@
 //! workspace is per-precision so f32 and f64 transforms never share buffers.
 
 use crate::complex::Complex;
-use crate::radix2::Radix2Plan;
 use crate::real::Real;
+use crate::stockham::{next_smooth, StockhamPlan};
 
 /// Precomputed state for arbitrary-length transforms of one fixed size.
 #[derive(Debug, Clone)]
@@ -24,7 +27,7 @@ pub struct BluesteinPlan<T: Real = f64> {
     chirp: Vec<Complex<T>>,
     /// FFT of the zero-padded conjugate chirp (forward direction).
     kernel_fft: Vec<Complex<T>>,
-    inner: Radix2Plan<T>,
+    inner: StockhamPlan<T>,
 }
 
 impl<T: Real> BluesteinPlan<T> {
@@ -35,8 +38,8 @@ impl<T: Real> BluesteinPlan<T> {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "bluestein plan requires a non-zero length");
-        let m = (2 * n - 1).next_power_of_two();
-        let inner: Radix2Plan<T> = Radix2Plan::new(m);
+        let m = next_smooth(2 * n - 1);
+        let inner: StockhamPlan<T> = StockhamPlan::new(m);
         let mut chirp = Vec::with_capacity(n);
         for k in 0..n {
             // Reduce k² mod 2n before converting to angle to avoid precision
@@ -98,8 +101,9 @@ impl<T: Real> BluesteinPlan<T> {
                 *v = v.conj();
             }
         }
-        // The inner transform is always radix-2, never another Bluestein
-        // plan, so this thread-local borrow cannot re-enter.
+        // The inner transform is always Stockham, never another Bluestein
+        // plan, so this thread-local borrow cannot re-enter; Stockham's own
+        // ping-pong buffer is a separate thread-local.
         T::with_conv_work(|work| {
             work.clear();
             work.resize(m, Complex::ZERO);
@@ -216,7 +220,7 @@ mod tests {
 
     #[test]
     fn f32_inverse_roundtrip() {
-        let n = 48; // the GSW plane size — the f32 path's hottest length
+        let n = 48; // smooth, so only a directly built Bluestein plan runs it
         let plan: BluesteinPlan<f32> = BluesteinPlan::new(n);
         let x: Vec<Complex32> = signal(n).iter().map(|z| z.to_c32()).collect();
         let mut buf = x.clone();

@@ -22,7 +22,7 @@
 //! `A[k] = (Z[k] + conj(Z[n−k]))/2`, `B[k] = (Z[k] − conj(Z[n−k]))/(2i)`.
 //! Because the public entry point dispatches, the complex path and the real
 //! path agree bit-for-bit on real inputs by construction, and the packing
-//! works for any row length (radix-2 and Bluestein alike).
+//! works for any row length (Stockham and Bluestein alike).
 
 use crate::complex::Complex;
 use crate::parallel::Parallelism;
@@ -548,8 +548,9 @@ mod tests {
 
     #[test]
     fn real_input_matches_reference_2d_dft() {
-        // Covers radix-2 and Bluestein row lengths, odd row counts (one
-        // unpaired trailing row) and single-row/column edge shapes.
+        // Covers Stockham (2, 3, 5, 6, 8) and Bluestein (7) row lengths,
+        // odd row counts (one unpaired trailing row) and single-row/column
+        // edge shapes.
         for (rows, cols) in [(2usize, 2usize), (4, 8), (3, 5), (8, 3), (5, 7), (1, 6), (6, 1)] {
             let x = real_image(rows, cols);
             let mut fast = x.clone();
@@ -611,7 +612,7 @@ mod tests {
 
     #[test]
     fn blocked_transpose_is_bit_identical_to_naive() {
-        // Shapes straddle the 32-element tile edge and include Bluestein
+        // Shapes straddle the 32-element tile edge and include odd
         // (non-power-of-two) dimensions and degenerate single-row/column
         // cases.
         for (rows, cols) in [

@@ -11,9 +11,11 @@
 //!   bit-identity reference, `f32` the quality-gated throughput path
 //!   selected via [`context::Precision`]),
 //! * [`dft`] — an `O(n²)` reference transform used as the test oracle,
-//! * [`FftPlanner`]/[`FftPlan`] — cached fast transforms (radix-2
-//!   Cooley–Tukey for powers of two, Bluestein chirp-z otherwise), with
-//!   per-stage contiguous twiddle tables precomputed at plan time,
+//! * [`FftPlanner`]/[`FftPlan`] — cached fast transforms (a Stockham
+//!   autosort mixed-radix engine, radices 4/2/3/5, for every 2·3·5-smooth
+//!   length — powers of two, 40, 48, 480, 640 — and Bluestein chirp-z for
+//!   lengths with a larger prime factor), with per-pass contiguous twiddle
+//!   tables precomputed at plan time,
 //! * [`Fft2d`], [`fftshift`], [`ifftshift`] — separable 2-D transforms with
 //!   a cache-blocked transpose between passes and a packed real-input row
 //!   kernel that [`Fft2d::forward`] auto-dispatches to on amplitude planes.
@@ -43,8 +45,8 @@ pub mod dft;
 pub mod fft2d;
 pub mod parallel;
 pub mod plan;
-pub mod radix2;
 pub mod real;
+pub mod stockham;
 
 pub use bluestein::BluesteinPlan;
 pub use complex::{Complex, Complex32, Complex64};
@@ -52,5 +54,5 @@ pub use context::{ExecutionContext, ExecutionContextBuilder, Precision};
 pub use fft2d::{fftshift, ifftshift, transpose_into, Fft2d};
 pub use parallel::{lock_unpoisoned, Parallelism, ScratchArena};
 pub use plan::{fft_forward, fft_inverse, global_cached_len_count, FftPlan, FftPlanner};
-pub use radix2::Radix2Plan;
 pub use real::Real;
+pub use stockham::StockhamPlan;

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use crate::bluestein::BluesteinPlan;
 use crate::complex::Complex;
-use crate::radix2::Radix2Plan;
 use crate::real::Real;
+use crate::stockham::{self, StockhamPlan};
 
 /// A ready-to-run FFT of one fixed length.
 ///
@@ -37,15 +37,26 @@ pub struct FftPlan<T: Real = f64> {
 
 #[derive(Debug)]
 enum Algo<T: Real> {
-    Radix2(Radix2Plan<T>),
+    Stockham(StockhamPlan<T>),
     Bluestein(BluesteinPlan<T>),
+}
+
+impl<T: Real> Algo<T> {
+    /// Stockham for every 2·3·5-smooth length, Bluestein for the rest.
+    fn for_len(n: usize) -> Self {
+        if stockham::is_smooth(n) {
+            Algo::Stockham(StockhamPlan::new(n))
+        } else {
+            Algo::Bluestein(BluesteinPlan::new(n))
+        }
+    }
 }
 
 impl<T: Real> FftPlan<T> {
     /// The transform length.
     pub fn len(&self) -> usize {
         match &*self.algo {
-            Algo::Radix2(p) => p.len(),
+            Algo::Stockham(p) => p.len(),
             Algo::Bluestein(p) => p.len(),
         }
     }
@@ -62,7 +73,7 @@ impl<T: Real> FftPlan<T> {
     /// Panics if `buf.len() != self.len()`.
     pub fn forward(&self, buf: &mut [Complex<T>]) {
         match &*self.algo {
-            Algo::Radix2(p) => p.forward(buf),
+            Algo::Stockham(p) => p.forward(buf),
             Algo::Bluestein(p) => p.forward(buf),
         }
     }
@@ -74,7 +85,7 @@ impl<T: Real> FftPlan<T> {
     /// Panics if `buf.len() != self.len()`.
     pub fn inverse(&self, buf: &mut [Complex<T>]) {
         match &*self.algo {
-            Algo::Radix2(p) => p.inverse(buf),
+            Algo::Stockham(p) => p.inverse(buf),
             Algo::Bluestein(p) => p.inverse(buf),
         }
     }
@@ -88,11 +99,11 @@ impl<T: Real> FftPlan<T> {
 /// use holoar_fft::FftPlanner;
 ///
 /// let mut planner = FftPlanner::new();
-/// let a = planner.plan(480); // Bluestein path
-/// let b = planner.plan(512); // radix-2 path
-/// assert_eq!(a.len(), 480);
-/// assert_eq!(b.len(), 512);
-/// # let mut buf = vec![holoar_fft::Complex64::ONE; 480];
+/// let a = planner.plan(509); // prime: Bluestein path
+/// let b = planner.plan(480); // 2⁵·3·5: Stockham path
+/// assert_eq!(a.len(), 509);
+/// assert_eq!(b.len(), 480);
+/// # let mut buf = vec![holoar_fft::Complex64::ONE; 509];
 /// # a.forward(&mut buf);
 /// ```
 #[derive(Debug, Default)]
@@ -147,12 +158,7 @@ fn global_plan<T: Real>(n: usize) -> FftPlan<T> {
         std::collections::hash_map::Entry::Vacant(miss) => {
             holoar_telemetry::counter_add("fft.plan_cache.miss", 1);
             let _span = holoar_telemetry::span_cat("fft.plan.build", "fft");
-            let algo = if n.is_power_of_two() {
-                Algo::Radix2(Radix2Plan::new(n))
-            } else {
-                Algo::Bluestein(BluesteinPlan::new(n))
-            };
-            miss.insert(FftPlan { algo: Arc::new(algo) }).clone()
+            miss.insert(FftPlan { algo: Arc::new(Algo::for_len(n)) }).clone()
         }
     }
 }
@@ -217,6 +223,16 @@ mod tests {
             for (a, b) in fast.iter().zip(&slow) {
                 assert!((*a - *b).norm() < 1e-6 * n as f64);
             }
+        }
+    }
+
+    #[test]
+    fn smooth_lengths_take_stockham_and_the_rest_bluestein() {
+        for n in [1usize, 2, 3, 5, 40, 48, 128, 480, 640, 1000] {
+            assert!(matches!(Algo::<f64>::for_len(n), Algo::Stockham(_)), "n={n}");
+        }
+        for n in [7usize, 11, 17, 509] {
+            assert!(matches!(Algo::<f64>::for_len(n), Algo::Bluestein(_)), "n={n}");
         }
     }
 

@@ -8,11 +8,11 @@
 //! verifies against, `f32` is the throughput path gated by the quality
 //! experiment in `repro parallel`.
 //!
-//! Besides arithmetic, the trait carries the three pieces of per-precision
+//! Besides arithmetic, the trait carries the four pieces of per-precision
 //! *plumbing* the generic code needs a home for: the process-wide plan
-//! cache, the Bluestein convolution workspace, and the scratch-arena pools —
-//! each precision gets its own instance so an f32 run never evicts or
-//! aliases f64 state.
+//! cache, the Bluestein convolution workspace, the Stockham ping-pong
+//! buffer, and the scratch-arena pools — each precision gets its own
+//! instance so an f32 run never evicts or aliases f64 state.
 //!
 //! Trig tables (twiddles, chirps) are always computed in `f64` and then
 //! narrowed via [`Real::from_f64`], so the f32 tables carry correctly
@@ -98,6 +98,12 @@ pub trait Real:
     /// stay immutable across workers.
     fn with_conv_work<R>(f: impl FnOnce(&mut Vec<Complex<Self>>) -> R) -> R;
 
+    /// Runs `f` with this thread's Stockham ping-pong buffer for this
+    /// precision (see [`crate::stockham`]). Separate from the Bluestein
+    /// workspace because a Bluestein transform runs its inner Stockham
+    /// transforms while holding that workspace.
+    fn with_stockham_work<R>(f: impl FnOnce(&mut Vec<Complex<Self>>) -> R) -> R;
+
     /// Checks a zeroed scratch buffer of `len` samples out of `arena`'s
     /// pool for this precision.
     fn arena_take(arena: &ScratchArena, len: usize) -> Vec<Complex<Self>>;
@@ -154,6 +160,14 @@ impl Real for f64 {
     }
 
     fn with_conv_work<R>(f: impl FnOnce(&mut Vec<Complex<f64>>) -> R) -> R {
+        thread_local! {
+            static WORK: std::cell::RefCell<Vec<Complex<f64>>> =
+                const { std::cell::RefCell::new(Vec::new()) };
+        }
+        WORK.with(|cell| f(&mut cell.borrow_mut()))
+    }
+
+    fn with_stockham_work<R>(f: impl FnOnce(&mut Vec<Complex<f64>>) -> R) -> R {
         thread_local! {
             static WORK: std::cell::RefCell<Vec<Complex<f64>>> =
                 const { std::cell::RefCell::new(Vec::new()) };
@@ -218,6 +232,14 @@ impl Real for f32 {
     }
 
     fn with_conv_work<R>(f: impl FnOnce(&mut Vec<Complex<f32>>) -> R) -> R {
+        thread_local! {
+            static WORK: std::cell::RefCell<Vec<Complex<f32>>> =
+                const { std::cell::RefCell::new(Vec::new()) };
+        }
+        WORK.with(|cell| f(&mut cell.borrow_mut()))
+    }
+
+    fn with_stockham_work<R>(f: impl FnOnce(&mut Vec<Complex<f32>>) -> R) -> R {
         thread_local! {
             static WORK: std::cell::RefCell<Vec<Complex<f32>>> =
                 const { std::cell::RefCell::new(Vec::new()) };

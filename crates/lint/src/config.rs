@@ -10,7 +10,7 @@ use std::path::PathBuf;
 /// Real-time hot-path modules: the no-panic rule applies to every non-test
 /// line of these files. Paths are workspace-relative.
 pub const HOT_PATHS: &[&str] = &[
-    "crates/fft/src/radix2.rs",
+    "crates/fft/src/stockham.rs",
     "crates/fft/src/bluestein.rs",
     "crates/fft/src/fft2d.rs",
     "crates/fft/src/parallel.rs",
