@@ -1068,5 +1068,34 @@ mod tests {
         let json = include_str!("../../../BENCH_serve.json");
         let outcome = evaluate_serve(json, &ServeGateConfig::default()).unwrap();
         assert!(outcome.pass(), "{}", outcome.report);
+        // And it must match what this tree generates at the recorded
+        // budget — a byte-level drift check against the generator.
+        let cfg = crate::experiments::ExperimentConfig {
+            frames: 120,
+            ..Default::default()
+        };
+        assert_eq!(
+            json,
+            crate::experiments::serve_bench_json(&cfg),
+            "BENCH_serve.json is stale; regenerate with \
+             `repro serve --frames 120 --json BENCH_serve.json`"
+        );
+    }
+
+    #[test]
+    fn checked_in_slo_artifact_matches_the_generator() {
+        // `BENCH_slo.json` at the repo root is regenerated by `repro slo
+        // --sessions 8 --json BENCH_slo.json`; it has no floors of its own,
+        // so the byte-level drift check is its whole pin.
+        let cfg = crate::experiments::ExperimentConfig {
+            sessions: Some(8),
+            ..Default::default()
+        };
+        assert_eq!(
+            include_str!("../../../BENCH_slo.json"),
+            crate::experiments::slo_bench_json(&cfg),
+            "BENCH_slo.json is stale; regenerate with \
+             `repro slo --sessions 8 --json BENCH_slo.json`"
+        );
     }
 }

@@ -255,23 +255,24 @@ pub fn merged_session_kernels(jobs: &[HologramJob]) -> Vec<KernelDesc> {
             "cross-session batching requires lockstep GSW iterations"
         );
     }
-    let mut kernels = Vec::with_capacity((first.gsw_iterations * 2) as usize);
-    for _ in 0..first.gsw_iterations {
-        for step in [Step::Forward, Step::Backward] {
-            let mut grid_blocks = 0u32;
-            for job in &active {
-                let covered = ((job.pixels as f64 * job.coverage).ceil() as u64).max(1);
-                let per_plane = propagation_kernel(step, covered);
-                grid_blocks = grid_blocks
-                    .saturating_add(per_plane.grid_blocks.saturating_mul(job.plane_count));
-            }
-            let covered_first =
-                ((first.pixels as f64 * first.coverage).ceil() as u64).max(1);
-            let mut merged = propagation_kernel(step, covered_first);
-            merged.name = format!("{}_xsession", step.kernel_name());
-            merged.grid_blocks = grid_blocks.max(1);
-            kernels.push(merged);
+    // Every GSW iteration launches the same merged forward/backward pair.
+    let pair = [Step::Forward, Step::Backward].map(|step| {
+        let mut grid_blocks = 0u32;
+        for job in &active {
+            let covered = ((job.pixels as f64 * job.coverage).ceil() as u64).max(1);
+            let per_plane = propagation_kernel(step, covered);
+            grid_blocks =
+                grid_blocks.saturating_add(per_plane.grid_blocks.saturating_mul(job.plane_count));
         }
+        let covered_first = ((first.pixels as f64 * first.coverage).ceil() as u64).max(1);
+        let mut merged = propagation_kernel(step, covered_first);
+        merged.name = format!("{}_xsession", step.kernel_name());
+        merged.grid_blocks = grid_blocks.max(1);
+        merged
+    });
+    let mut kernels = Vec::with_capacity(pair.len() * first.gsw_iterations as usize);
+    for _ in 0..first.gsw_iterations {
+        kernels.extend_from_slice(&pair);
     }
     kernels
 }

@@ -11,7 +11,8 @@
 //! parallelism raises sustained utilization (the Fig 8a activity mechanism)
 //! instead of assuming it.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::config::DeviceConfig;
 use crate::kernel::KernelDesc;
@@ -86,6 +87,35 @@ impl Timeline {
     }
 }
 
+/// Blocks one op received in one dispatch event. They started together and
+/// share one service time, so they retire together.
+struct Retirement {
+    at: f64,
+    op: usize,
+    blocks: u64,
+}
+
+impl Ord for Retirement {
+    /// Reversed, so the max-heap `BinaryHeap` pops the earliest retirement.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.at.total_cmp(&self.at).then(other.op.cmp(&self.op))
+    }
+}
+
+impl PartialOrd for Retirement {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Retirement {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Retirement {}
+
 /// Simulates a set of stream operations on the device.
 ///
 /// Model: the device exposes `sm_count × slots_per_sm` block slots. At every
@@ -98,9 +128,16 @@ impl Timeline {
 /// the calibrated closed-form model's (one block per SM per `block_time`).
 /// The simulation advances to the next block-retirement event.
 ///
+/// Blocks an op receives in one step all retire at `now + block_time`, so
+/// the in-flight set is a min-heap of `(retire time, op, blocks)` entries
+/// plus per-op and device-wide busy counters: each step costs the blocks it
+/// grants plus a heap operation per entry, not a scan of every in-flight
+/// block.
+///
 /// # Panics
 ///
 /// Panics if any kernel is invalid.
+// holoar-lint: frame-loop
 pub fn simulate(ops: &[StreamOp], config: &DeviceConfig) -> Timeline {
     if ops.is_empty() {
         return Timeline { spans: Vec::new(), occupancy: Vec::new(), makespan: 0.0 };
@@ -115,6 +152,9 @@ pub fn simulate(ops: &[StreamOp], config: &DeviceConfig) -> Timeline {
         total_blocks: u64,
         end: f64,
         slots_cap: u64,
+        in_flight: u64,
+        stream: usize,
+        next_on_stream: Option<usize>,
     }
     let slots_per_sm = (config.sm.max_resident_warps as u64 * config.sm.warp_size as u64
         / 256)
@@ -140,68 +180,79 @@ pub fn simulate(ops: &[StreamOp], config: &DeviceConfig) -> Timeline {
                 total_blocks: blocks,
                 end: 0.0,
                 slots_cap,
+                in_flight: 0,
+                stream: 0,
+                next_on_stream: None,
             }
         })
         .collect();
 
-    // Stream order: indices of ops per stream, in enqueue order. BTreeMap so
-    // the ready-scan below iterates streams in a fixed order run to run.
-    let mut stream_queues: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    for (i, op) in ops.iter().enumerate() {
-        stream_queues.entry(op.stream).or_default().push(i);
+    // Streams by dense index in ascending id order; each stream's frontier is
+    // the first op, in enqueue order, that has not fully retired.
+    let mut stream_ids: Vec<u32> = ops.iter().map(|op| op.stream).collect();
+    stream_ids.sort_unstable();
+    stream_ids.dedup();
+    let mut frontier: Vec<Option<usize>> = vec![None; stream_ids.len()];
+    for (i, op) in ops.iter().enumerate().rev() {
+        let stream = stream_ids.partition_point(|&id| id < op.stream);
+        states[i].stream = stream;
+        states[i].next_on_stream = frontier[stream];
+        frontier[stream] = Some(i);
     }
-    let mut stream_cursor: BTreeMap<u32, usize> = BTreeMap::new();
 
     // Device-wide block slots.
     let total_slots: u64 = slots_per_sm * config.sm_count as u64;
+    let total_blocks: u64 = states.iter().map(|s| s.total_blocks).sum();
 
-    // In-flight blocks: (op index, retirement time).
-    let mut in_flight: Vec<(usize, f64)> = Vec::new();
+    // Every heap entry holds at least one busy slot and one block.
+    let mut retiring = BinaryHeap::with_capacity(total_slots.min(total_blocks) as usize);
+    // Ready ops of one step with the blocks each was granted in it.
+    let mut ready: Vec<(usize, u64)> = Vec::with_capacity(stream_ids.len());
+    let mut busy = 0u64;
     let mut now = 0.0f64;
-    let mut occupancy = Vec::new();
+    let mut occupancy = Vec::with_capacity(ops.len());
     let mut spans_done = 0usize;
 
     while spans_done < ops.len() {
-        // Ready ops: frontier of each stream whose blocks are not exhausted.
-        let mut ready: Vec<usize> = Vec::new();
-        for (&stream, queue) in &stream_queues {
-            let cursor = *stream_cursor.get(&stream).unwrap_or(&0);
-            if let Some(&op_idx) = queue.get(cursor) {
-                if states[op_idx].blocks_left > 0 {
-                    ready.push(op_idx);
-                }
+        // Ready ops: frontier of each stream whose blocks are not exhausted,
+        // in op order.
+        ready.clear();
+        for &op_idx in frontier.iter().flatten() {
+            if states[op_idx].blocks_left > 0 {
+                ready.push((op_idx, 0));
             }
         }
-        ready.sort_unstable(); // determinism
+        ready.sort_unstable();
 
         // Hand out free slots round-robin across ready ops, respecting each
         // kernel's own co-residency cap.
-        let mut free = total_slots.saturating_sub(in_flight.len() as u64);
+        let mut free = total_slots.saturating_sub(busy);
         let mut progressed = true;
         while free > 0 && progressed {
             progressed = false;
-            for &op_idx in &ready {
+            for (op_idx, granted) in ready.iter_mut() {
                 if free == 0 {
                     break;
                 }
-                let state = &mut states[op_idx];
-                let in_flight_for_op =
-                    in_flight.iter().filter(|(i, _)| *i == op_idx).count() as u64;
-                if state.blocks_left > 0 && in_flight_for_op < state.slots_cap {
+                let state = &mut states[*op_idx];
+                if state.blocks_left > 0 && state.in_flight < state.slots_cap {
                     state.blocks_left -= 1;
-                    state.started_at.get_or_insert(now);
-                    in_flight.push((op_idx, now + state.block_time));
+                    state.in_flight += 1;
+                    *granted += 1;
                     free -= 1;
                     progressed = true;
                 }
             }
         }
+        for &(op, blocks) in ready.iter().filter(|&&(_, blocks)| blocks > 0) {
+            let state = &mut states[op];
+            state.started_at.get_or_insert(now);
+            retiring.push(Retirement { at: now + state.block_time, op, blocks });
+            busy += blocks;
+        }
 
         // Advance to the next retirement.
-        let Some(&(_, next_t)) = in_flight
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-        else {
+        let Some(&Retirement { at: next_t, .. }) = retiring.peek() else {
             // Nothing in flight and nothing ready: streams are blocked on
             // ops with zero remaining blocks (shouldn't happen) — bail.
             break;
@@ -209,28 +260,23 @@ pub fn simulate(ops: &[StreamOp], config: &DeviceConfig) -> Timeline {
         occupancy.push(OccupancySample {
             start: now,
             end: next_t,
-            occupancy: (in_flight.len() as f64 / total_slots as f64).min(1.0),
+            occupancy: (busy as f64 / total_slots as f64).min(1.0),
         });
         now = next_t;
         // Retire everything due now.
-        let mut retired: Vec<usize> = Vec::new();
-        in_flight.retain(|&(op_idx, t)| {
-            if t <= now + 1e-18 {
-                retired.push(op_idx);
-                false
-            } else {
-                true
+        while let Some(&Retirement { at, op, blocks }) = retiring.peek() {
+            if at > now + 1e-18 {
+                break;
             }
-        });
-        for op_idx in retired {
-            let state = &mut states[op_idx];
-            state.retired_blocks += 1;
+            retiring.pop();
+            busy -= blocks;
+            let state = &mut states[op];
+            state.in_flight -= blocks;
+            state.retired_blocks += blocks;
             if state.retired_blocks == state.total_blocks {
                 state.end = now;
                 spans_done += 1;
-                // Advance that op's stream cursor.
-                let stream = ops[op_idx].stream;
-                *stream_cursor.entry(stream).or_insert(0) += 1;
+                frontier[state.stream] = state.next_on_stream;
             }
         }
     }

@@ -58,7 +58,7 @@ pub const HOT_ENTRY_POINTS: &[(&str, &str)] = &[
 pub const FRAME_LOOP_FNS: &[(&str, &str)] = &[
     ("crates/optics/src/gsw.rs", "run_batch"),
     ("crates/pipeline/src/pipelined.rs", "summarize"),
-    ("crates/serve/src/batcher.rs", "merged_session_kernels"),
+    ("crates/gpusim/src/hologram_kernels.rs", "merged_session_kernels"),
 ];
 
 /// Modules allowed to call transcendental math (`sin`/`cos`/`exp`/`powf`):

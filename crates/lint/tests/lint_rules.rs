@@ -283,3 +283,25 @@ fn the_workspace_itself_is_clean() {
     assert!(actives.is_empty(), "workspace has active lint findings:\n{}", actives.join("\n"));
     assert_eq!(report.counts().2, 0, "the checked-in baseline must stay empty");
 }
+
+#[test]
+fn designated_entry_points_and_frame_loops_resolve() {
+    // A `(file, fn)` pair in the checked-in hot sets that names no
+    // definition (the function moved or was renamed) silently exempts that
+    // function from the rule it was listed for. Every pair must resolve to a
+    // non-test function of the real tree.
+    use holoar_lint::config::{FRAME_LOOP_FNS, HOT_ENTRY_POINTS};
+    let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = holoar_lint::find_workspace_root(here).expect("workspace root");
+    let sources = engine::scan_workspace(&root).expect("workspace scan");
+    let model = holoar_lint::model::build(&sources, &Config::new(root));
+    let missing: Vec<String> = HOT_ENTRY_POINTS
+        .iter()
+        .chain(FRAME_LOOP_FNS)
+        .filter(|&&(path, name)| {
+            !model.fns.iter().any(|(id, f)| id.path == path && id.name == name && !f.in_test)
+        })
+        .map(|(path, name)| format!("{path}::{name}"))
+        .collect();
+    assert!(missing.is_empty(), "designated functions not found in the workspace: {missing:?}");
+}

@@ -364,11 +364,13 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         merged_launches += batch.kernels.len() as u64;
         launches_saved += batch.launches_saved();
         let tick_occupancy = if batch.has_work() {
-            let timeline = simulate(&session_stream_ops(&batch.jobs), &device_cfg);
-            occupancy_sum += timeline.mean_occupancy();
+            let _timeline = holoar_telemetry::span_cat("serve.tick.timeline", "serve");
+            let occupancy =
+                simulate(&session_stream_ops(&batch.jobs), &device_cfg).mean_occupancy();
+            occupancy_sum += occupancy;
             occupancy_ticks += 1;
-            holoar_telemetry::gauge_set("serve.tick.occupancy", timeline.mean_occupancy());
-            timeline.mean_occupancy()
+            holoar_telemetry::gauge_set("serve.tick.occupancy", occupancy);
+            occupancy
         } else {
             0.0
         };
